@@ -2,25 +2,33 @@
 
 :func:`repro.router.rules.is_restriction` answers "is ``other`` a pure
 restriction of ``base``?" syntactically, from the rule parameters.
-This module answers the same question *semantically, on the built
-models*: ``other`` restricts ``base`` on a clip exactly when every
-feasible point of ``other``'s ILP is feasible in ``base``'s.  Both
-models come from the same :class:`BaseFormulation` core, so the shared
-rows and columns are literally identical and only the per-rule *delta
-rows* (via-adjacency blocking, SADP indicator blocks) need proof.
+This module answers it *semantically, on the built models*: ``other``
+restricts ``base`` on a clip exactly when every feasible point of
+``other``'s ILP is feasible in ``base``'s.  Both models come from one
+:class:`BaseFormulation` core, so only ``base``'s *delta rows*
+(via-adjacency blocking, SADP indicator blocks) need proof: every row
+``other`` adds outside the core only tightens it.
 
-Each base delta row is discharged by the cheapest sufficient method:
+The prover is obligation-first: it reads ``base``'s delta section from
+its CSR arrays, and when that is empty (RULE1, the baseline of every
+Table-3 sweep) the proof holds without specializing ``other`` at all.
+Otherwise each base delta row is discharged on the CSR arrays, columns
+of both models keyed by a shared variable-*name* rank (per-rule SADP
+indicators get fresh indices but deterministic names), by the
+cheapest sufficient method:
 
-1. **match** -- the row appears verbatim (canonically, by variable
-   *name*: per-rule SADP indicators get fresh indices but deterministic
-   names) among ``other``'s rows;
-2. **dominated** -- an ``other`` row pointwise-dominates it over the
-   nonnegative orthant (all model variables have lb >= 0);
-3. **lp** -- an LP certificate: optimizing the row's left-hand side
-   over ``other``'s LP relaxation cannot violate the row.  Sound for
-   the integer hull (integer points are LP-feasible); incomplete, so a
-   failed LP never *disproves* restriction -- the proof just doesn't
-   hold and callers must fall back to a cold solve.
+1. **match** -- the row appears verbatim among ``other``'s delta rows
+   (keys: sense, constant and name-ordered terms rounded to 9
+   digits), or it is vacuous (holds for every x >= 0);
+2. **dominated** -- an ``other`` delta row of the same sense
+   pointwise-dominates it over the nonnegative orthant (all model
+   variables have lb >= 0);
+3. **lp** -- an LP certificate over ``other``'s sparse constraint
+   matrix: optimizing the row's left-hand side over ``other``'s LP
+   relaxation cannot violate the row.  Sound for the integer hull
+   (integer points are LP-feasible); incomplete, so a failed LP never
+   *disproves* restriction -- the proof just doesn't hold and callers
+   must fall back to a cold solve.
 
 The resulting :class:`RestrictionProof` is what the incremental sweep
 (:mod:`repro.eval.flow`) consumes to certify warm-start edges, cross-
@@ -31,28 +39,23 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
+
+import numpy as np
+from scipy import sparse
+from scipy.optimize import linprog
 
 from repro.analysis.semantics.report import SCHEMA_VERSION
 from repro.clips.clip import Clip
-from repro.ilp.model import Constraint, Model
+from repro.ilp.csr import _CODE_TO_SENSE, SENSE_EQ, SENSE_GE, SENSE_LE, CsrModel
+from repro.ilp.model import LinExpr
 from repro.router.formulation import BaseFormulation, formulation_cache
 from repro.router.rules import RuleConfig, is_restriction
 
 _TOL = 1e-9
-
-#: A canonical row: (sense, const, ((var_name, coef), ...) sorted).
-_CanonRow = tuple[str, float, tuple[tuple[str, float], ...]]
-
-
-def _canon(model: Model, row: Constraint) -> _CanonRow:
-    terms = tuple(
-        sorted(
-            (model.variables[index].name, round(coef, 9))
-            for index, coef in row.expr.coefs.items()
-        )
-    )
-    return (row.sense, round(row.expr.const, 9), terms)
+#: LP objective signs per row sense: maximize the LHS against "<=",
+#: minimize it against ">=", both for "==".
+_LP_SIGNS = {SENSE_LE: (-1.0,), SENSE_GE: (1.0,), SENSE_EQ: (1.0, -1.0)}
 
 
 @dataclass(frozen=True)
@@ -81,14 +84,8 @@ class RestrictionProof:
 
     @property
     def methods(self) -> tuple[str, ...]:
-        out = []
-        if self.n_matched:
-            out.append("match")
-        if self.n_dominated:
-            out.append("dominated")
-        if self.n_lp:
-            out.append("lp")
-        return tuple(out)
+        counts = (self.n_matched, self.n_dominated, self.n_lp)
+        return tuple(m for m, n in zip(("match", "dominated", "lp"), counts) if n)
 
     @property
     def agrees_with_predicate(self) -> bool:
@@ -115,132 +112,190 @@ class RestrictionProof:
         }
 
 
-def _dominates(base_row: Constraint, other_row: Constraint,
-               names_base: list[str], names_other: list[str]) -> bool:
-    """True when satisfying ``other_row`` forces ``base_row`` over
-    x >= 0 (every model variable is nonnegative)."""
-    if base_row.sense != other_row.sense or base_row.sense == "==":
-        return False
-    base = {
-        names_base[index]: coef for index, coef in base_row.expr.coefs.items()
+def _round9(values: np.ndarray) -> np.ndarray:
+    """Python's correctly rounded ``round(v, 9)`` per element (unlike
+    ``np.round``), with ``-0.0`` folded into ``0.0`` so keys that
+    compare equal as floats also compare equal as bytes."""
+    uniq, inverse = np.unique(values, return_inverse=True)
+    rounded = np.array([round(v, 9) for v in uniq.tolist()], dtype=np.float64)
+    return rounded[inverse.reshape(-1)] + 0.0
+
+
+class _Section:
+    """Rows ``first:`` of a model; ``cols`` relabels its columns by
+    name rank, ``indices`` keeps the model's own."""
+
+    def __init__(self, model: CsrModel, first: int, rank: np.ndarray):
+        lo = model.indptr[first]
+        self.indptr = model.indptr[first:] - lo
+        self.indices = model.indices[lo:]
+        self.cols = rank[self.indices]
+        self.data = model.data[lo:]
+        self.senses = model.senses[first:]
+        self.const = model.row_const[first:]
+        self.rows = np.repeat(np.arange(len(self.senses)), np.diff(self.indptr))
+
+    def keys(self) -> list[tuple]:
+        """Canonical row keys: (sense, const, ranks, coefs)."""
+        order = np.lexsort((self.cols, self.rows))
+        cols = self.cols[order].astype(np.int64).tobytes()
+        coefs = _round9(self.data[order]).tobytes()
+        ptr = (8 * self.indptr).tolist()
+        consts = _round9(self.const).tolist()
+        return [
+            (sense, consts[r], cols[ptr[r]:ptr[r + 1]], coefs[ptr[r]:ptr[r + 1]])
+            for r, sense in enumerate(self.senses.tolist())
+        ]
+
+    def vacuous(self) -> np.ndarray:
+        """Rows satisfied by every x >= 0, regardless of the model."""
+        hi = np.full(len(self.senses), -np.inf)
+        lo = np.full(len(self.senses), np.inf)
+        np.maximum.at(hi, self.rows, self.data)
+        np.minimum.at(lo, self.rows, self.data)
+        le = (self.senses == SENSE_LE) & (self.const <= _TOL) & (hi <= _TOL)
+        ge = (self.senses == SENSE_GE) & (self.const >= -_TOL) & (lo >= -_TOL)
+        return le | ge
+
+
+class _Candidates:
+    """One sense's delta rows of ``other``, by column, with ``>=`` rows
+    negated into ``<=`` form (exact in floating point)."""
+
+    def __init__(self, section: _Section, sense: int, n_cols: int):
+        self.sign = 1.0 if sense == SENSE_LE else -1.0
+        rows = np.flatnonzero(section.senses == sense)
+        by_col = sparse.csr_matrix(
+            (self.sign * section.data, section.cols, section.indptr),
+            shape=(len(section.senses), n_cols),
+        )[rows].tocsc()
+        self.indptr, self.rows, self.vals = by_col.indptr, by_col.indices, by_col.data
+        self.const = self.sign * section.const[rows]
+        # Entries no zero base coefficient can dominate, per row.
+        self.n_below = np.bincount(self.rows[self.vals < -_TOL], minlength=len(rows))
+
+    def dominate(self, cols: np.ndarray, coefs: np.ndarray, const: float) -> bool:
+        """Candidate k dominates the row over x >= 0 when kb <= ko + tol
+        and cb <= co + tol on every column of either row."""
+        sub = np.zeros((len(self.const), len(cols)))
+        for j, col in enumerate(cols.tolist()):
+            span = slice(self.indptr[col], self.indptr[col + 1])
+            sub[self.rows[span], j] = self.vals[span]
+        ok = self.sign * const <= self.const + _TOL
+        ok &= np.all(self.sign * coefs <= sub + _TOL, axis=1)
+        ok &= self.n_below == np.count_nonzero(sub < -_TOL, axis=1)
+        return bool(ok.any())
+
+
+def _lp_arrays(model: CsrModel) -> dict[str, Any]:
+    """``linprog`` inputs for a model's LP relaxation, sparse."""
+    matrix = sparse.csr_matrix(
+        (model.data, model.indices, model.indptr),
+        shape=(model.n_rows, model.n_vars),
+    )
+    rhs = -model.row_const
+    ineq = model.senses != SENSE_EQ
+    sign = np.where(model.senses[ineq] == SENSE_GE, -1.0, 1.0)
+    return {
+        "A_ub": sparse.diags(sign) @ matrix[ineq] if ineq.any() else None,
+        "b_ub": sign * rhs[ineq] if ineq.any() else None,
+        "A_eq": matrix[~ineq] if not ineq.all() else None,
+        "b_eq": rhs[~ineq] if not ineq.all() else None,
+        "bounds": np.column_stack((model.lb, model.ub)),
     }
-    other = {
-        names_other[index]: coef
-        for index, coef in other_row.expr.coefs.items()
-    }
-    names = set(base) | set(other)
-    if base_row.sense == "<=":
-        # sum(cb x) + kb <= sum(co x) + ko <= 0 needs cb <= co, kb <= ko.
-        if base_row.expr.const > other_row.expr.const + _TOL:
-            return False
-        return all(
-            base.get(name, 0.0) <= other.get(name, 0.0) + _TOL
-            for name in names
-        )
-    # ">=": sum(cb x) + kb >= sum(co x) + ko >= 0 needs cb >= co, kb >= ko.
-    if base_row.expr.const < other_row.expr.const - _TOL:
-        return False
-    return all(
-        base.get(name, 0.0) >= other.get(name, 0.0) - _TOL
-        for name in names
+
+
+class Discharge(NamedTuple):
+    """Per-method tally of one restriction obligation."""
+
+    n_rows: int = 0
+    n_matched: int = 0
+    n_dominated: int = 0
+    n_lp: int = 0
+    failures: tuple[str, ...] = ()
+
+
+def discharge_rows(
+    base: CsrModel, other: CsrModel, n_core: int, *, max_failures: int = 5
+) -> Discharge:
+    """Discharge ``base``'s rows ``n_core:`` against ``other``.
+
+    Both models must share their first ``n_core`` rows (the core).
+    Each row is tried by match, dominated, then lp; after
+    ``max_failures`` undischarged rows the next one appends ``"..."``
+    and the tally stops there.
+    """
+    n_rows = base.n_rows - n_core
+    names, rank = np.unique(
+        np.array(base.var_names + other.var_names), return_inverse=True
+    )
+    rank = rank.reshape(-1)
+    mine = _Section(base, n_core, rank[: base.n_vars])
+    theirs = _Section(other, n_core, rank[base.n_vars:])
+    column_of = np.full(len(names), -1, dtype=np.int64)
+    column_of[rank[base.n_vars:]] = np.arange(other.n_vars)
+
+    other_keys = set(theirs.keys())
+    matched = mine.vacuous() | np.fromiter(
+        (key in other_keys for key in mine.keys()), dtype=bool, count=n_rows
     )
 
+    lp: dict[str, Any] = {}
 
-def _vacuous(row: Constraint) -> bool:
-    """Rows satisfied by every x >= 0, regardless of the model."""
-    if row.sense == "<=":
-        return row.expr.const <= _TOL and all(
-            coef <= _TOL for coef in row.expr.coefs.values()
-        )
-    if row.sense == ">=":
-        return row.expr.const >= -_TOL and all(
-            coef >= -_TOL for coef in row.expr.coefs.values()
-        )
-    return False
-
-
-class _LpCertifier:
-    """LP-relaxation implication certificates over one model."""
-
-    def __init__(self, model: Model):
-        self.model = model
-        self._arrays = None
-
-    def _build(self):
-        import numpy as np
-
-        model = self.model
-        n = model.n_vars
-        a_ub, b_ub, a_eq, b_eq = [], [], [], []
-        for con in model.constraints:
-            dense = np.zeros(n)
-            for index, coef in con.expr.coefs.items():
-                dense[index] = coef
-            rhs = -con.expr.const
-            if con.sense == "<=":
-                a_ub.append(dense)
-                b_ub.append(rhs)
-            elif con.sense == ">=":
-                a_ub.append(-dense)
-                b_ub.append(-rhs)
-            else:
-                a_eq.append(dense)
-                b_eq.append(rhs)
-        bounds = [
-            (v.lb, None if v.ub == float("inf") else v.ub)
-            for v in model.variables
-        ]
-        self._arrays = (
-            np.asarray(a_ub) if a_ub else None,
-            np.asarray(b_ub) if b_ub else None,
-            np.asarray(a_eq) if a_eq else None,
-            np.asarray(b_eq) if b_eq else None,
-            bounds,
-        )
-        return self._arrays
-
-    def implies(self, row: Constraint, name_to_index: dict[str, int],
-                names_base: list[str]) -> bool:
-        """Does every LP-feasible point of the model satisfy ``row``?
-
-        ``row`` lives in the *base* model; its variables are mapped by
-        name.  A name absent from this model denotes a free column the
-        model cannot control -- the certificate then fails.
-        """
-        try:
-            import numpy as np
-            from scipy.optimize import linprog
-        except ImportError:  # pragma: no cover - scipy-less environments
+    def implied(cols: np.ndarray, coefs: np.ndarray, sense: int,
+                const: float) -> bool:
+        # A column absent from ``other`` is free there: no certificate.
+        mapped = column_of[cols]
+        if np.any(mapped < 0):
             return False
-
-        coefs = np.zeros(self.model.n_vars)
-        for index, coef in row.expr.coefs.items():
-            mapped = name_to_index.get(names_base[index])
-            if mapped is None:
+        objective = np.zeros(other.n_vars)
+        objective[mapped] = coefs
+        if not lp:
+            lp.update(_lp_arrays(other))
+        for sign in _LP_SIGNS[sense]:
+            result = linprog(sign * objective, method="highs", **lp)
+            if result.status == 2:
+                return True  # LP-infeasible model: implication is vacuous
+            if not result.success:
                 return False
-            coefs[mapped] = coef
-        if self._arrays is None:
-            self._build()
-        a_ub, b_ub, a_eq, b_eq, bounds = self._arrays
-        # Maximize the LHS for "<=" rows, minimize for ">=" rows.
-        sign = -1.0 if row.sense == "<=" else 1.0
-        result = linprog(
-            sign * coefs,
-            A_ub=a_ub,
-            b_ub=b_ub,
-            A_eq=a_eq,
-            b_eq=b_eq,
-            bounds=bounds,
-            method="highs",
-        )
-        if result.status == 2:
-            return True  # the model is LP-infeasible: implication is vacuous
-        if not result.success:
-            return False
-        extreme = sign * result.fun + row.expr.const
-        if row.sense == "<=":
-            return bool(extreme <= _TOL)
-        return bool(extreme >= -_TOL)
+            extreme = sign * result.fun + const
+            if extreme > _TOL if sign < 0 else extreme < -_TOL:
+                return False
+        return True
+
+    unmatched = np.flatnonzero(~matched).tolist()
+    candidates = (
+        {s: _Candidates(theirs, s, len(names)) for s in (SENSE_LE, SENSE_GE)}
+        if unmatched else {}
+    )
+    n_dominated = n_lp = 0
+    stop = n_rows
+    failures: list[str] = []
+    for r in unmatched:
+        span = slice(int(mine.indptr[r]), int(mine.indptr[r + 1]))
+        cols, coefs = mine.cols[span], mine.data[span]
+        sense, const = int(mine.senses[r]), float(mine.const[r])
+        if sense in candidates and candidates[sense].dominate(cols, coefs, const):
+            n_dominated += 1
+        elif implied(cols, coefs, sense, const):
+            n_lp += 1
+        elif len(failures) < max_failures:
+            terms = dict(zip(mine.indices[span].tolist(), coefs.tolist()))
+            failures.append(
+                f"delta row {n_core + r} not implied: "
+                f"{LinExpr(terms, const)!r} {_CODE_TO_SENSE[sense]} 0"
+            )
+        else:
+            failures.append("...")
+            stop = r
+            break
+    return Discharge(
+        n_rows=n_rows,
+        n_matched=int(np.count_nonzero(matched[:stop])),
+        n_dominated=n_dominated,
+        n_lp=n_lp,
+        failures=tuple(failures),
+    )
 
 
 def prove_restriction(
@@ -256,20 +311,21 @@ def prove_restriction(
     """Prove that ``other``'s feasible routings are feasible in ``base``.
 
     Both models are specialized from one shared core, so the proof
-    obligation reduces to ``base``'s delta rows.  The returned proof
+    obligation reduces to ``base``'s delta rows; ``other`` is
+    specialized only when there is at least one.  The returned proof
     ``holds`` only when every row was discharged.
     """
-    predicate = is_restriction(base, other)
+    labels: dict[str, Any] = dict(
+        clip_name=clip.name,
+        base_rule=base.name,
+        other_rule=other.name,
+        predicate=is_restriction(base, other),
+    )
     if base.allow_via_shapes != other.allow_via_shapes:
         return RestrictionProof(
-            clip_name=clip.name,
-            base_rule=base.name,
-            other_rule=other.name,
             holds=False,
-            failures=(
-                "different routing graphs: allow_via_shapes differs",
-            ),
-            predicate=predicate,
+            failures=("different routing graphs: allow_via_shapes differs",),
+            **labels,
         )
     if formulation is None:
         # Shared with the solve path: certifying a restriction and then
@@ -280,59 +336,17 @@ def prove_restriction(
             wire_cost=wire_cost,
             via_cost=via_cost,
         )
-    n_core = len(formulation.model.constraints)
-    ilp_base = formulation.specialize(base)
-    ilp_other = formulation.specialize(other)
-    base_rows = ilp_base.model.constraints[n_core:]
-    other_rows = ilp_other.model.constraints[n_core:]
-
-    names_base = [v.name for v in ilp_base.model.variables]
-    names_other = [v.name for v in ilp_other.model.variables]
-    other_canon = {_canon(ilp_other.model, row) for row in other_rows}
-    other_by_sense: dict[str, list[Constraint]] = {}
-    for row in other_rows:
-        other_by_sense.setdefault(row.sense, []).append(row)
-    name_to_index = {
-        name: index for index, name in enumerate(names_other)
-    }
-    certifier = _LpCertifier(ilp_other.model)
-
-    n_matched = n_dominated = n_lp = 0
-    failures: list[str] = []
-    for row_offset, row in enumerate(base_rows):
-        if _canon(ilp_base.model, row) in other_canon or _vacuous(row):
-            n_matched += 1
-            continue
-        if any(
-            _dominates(row, candidate, names_base, names_other)
-            for candidate in other_by_sense.get(row.sense, ())
-        ):
-            n_dominated += 1
-            continue
-        if certifier.implies(row, name_to_index, names_base):
-            n_lp += 1
-            continue
-        if len(failures) < max_failures:
-            failures.append(
-                f"delta row {n_core + row_offset} not implied: "
-                f"{row.expr!r} {row.sense} 0"
-            )
-        else:
-            failures.append("...")
-            break
-
-    return RestrictionProof(
-        clip_name=clip.name,
-        base_rule=base.name,
-        other_rule=other.name,
-        holds=not failures,
-        n_rows=len(base_rows),
-        n_matched=n_matched,
-        n_dominated=n_dominated,
-        n_lp=n_lp,
-        failures=tuple(failures),
-        predicate=predicate,
+    n_core = formulation.core.n_rows
+    base_csr = formulation.specialize(base).csr
+    if base_csr.n_rows == n_core:
+        return RestrictionProof(holds=True, **labels)
+    tally = discharge_rows(
+        base_csr,
+        formulation.specialize(other).csr,
+        n_core,
+        max_failures=max_failures,
     )
+    return RestrictionProof(holds=not tally.failures, **tally._asdict(), **labels)
 
 
 @dataclass
@@ -350,7 +364,6 @@ class RestrictionProver:
     _lock: threading.Lock = field(default_factory=threading.Lock)
     _proofs: dict[tuple, RestrictionProof] = field(default_factory=dict)
     _clips: dict[int, Clip] = field(default_factory=dict)
-    _bases: dict[tuple, BaseFormulation] = field(default_factory=dict)
 
     def prove(
         self, clip: Clip, base: RuleConfig, other: RuleConfig
@@ -360,25 +373,10 @@ class RestrictionProver:
             cached = self._proofs.get(key)
             if cached is not None:
                 return cached
-        base_key = (id(clip), base.allow_via_shapes)
-        with self._lock:
-            formulation = self._bases.get(base_key)
-        if formulation is None and base.allow_via_shapes == other.allow_via_shapes:
-            formulation = formulation_cache().base_for(
-                clip,
-                allow_via_shapes=base.allow_via_shapes,
-                wire_cost=self.wire_cost,
-                via_cost=self.via_cost,
-            )
-            with self._lock:
-                self._bases[base_key] = formulation
+        # The base formulation comes from the process-wide cache the
+        # solve path shares.
         proof = prove_restriction(
-            clip,
-            base,
-            other,
-            wire_cost=self.wire_cost,
-            via_cost=self.via_cost,
-            formulation=formulation,
+            clip, base, other, wire_cost=self.wire_cost, via_cost=self.via_cost
         )
         with self._lock:
             self._clips[id(clip)] = clip
@@ -389,4 +387,3 @@ class RestrictionProver:
         with self._lock:
             self._proofs.clear()
             self._clips.clear()
-            self._bases.clear()

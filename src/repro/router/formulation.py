@@ -72,11 +72,13 @@ class RoutingIlp:
 
     The model lives natively in columnar form (:attr:`csr`); the hot
     path (presolve, cache hashing, the HiGHS handoff) consumes the
-    arrays directly.  :attr:`model` lazily materializes the equivalent
-    object :class:`Model` for consumers that still walk constraints
-    (the semantics analyzers, the model linter, the bnb backend) and
+    arrays directly, and so does the restriction prover.
+    :attr:`model` lazily materializes the equivalent object
+    :class:`Model` for consumers that still walk constraints (the
+    equivalence analyzer, the model linter, the bnb backend) and
     caches it, so code that *mutates* ``ilp.model`` keeps seeing its
-    own edits; the CSR side is never written back to.
+    own edits; the CSR side is never written back to.  No default
+    sweep touches it.
     """
 
     csr: CsrModel
@@ -121,8 +123,7 @@ class BaseFormulation:
     @property
     def model(self) -> Model:
         """Object form of the frozen core (lazily materialized; the
-        restriction prover and the base-formulation tests walk its
-        constraint list)."""
+        base-formulation tests walk its constraint list)."""
         if self._model is None:
             self._model = self.core.to_model()
         return self._model

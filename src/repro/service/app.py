@@ -292,7 +292,11 @@ class ServiceApp:
         if self.solve_cache_dir is not None:
             from repro.ilp.solve_cache import SolveCache
 
+            # Entries and bytes come from disk; hits and misses from
+            # the journaled outcomes (each sweep opens its own cache).
             cache_stats = SolveCache(self.solve_cache_dir).stats()
+            cache_stats["hits"] = self.scheduler.cache_hits
+            cache_stats["misses"] = self.scheduler.cache_misses
         return Response.json({
             "store": self.store.counts(),
             "admission": self.admission.stats(),

@@ -99,6 +99,11 @@ class Scheduler:
         self._served: list[str] = []
         #: journaled pairs across all experiments (chaos trigger).
         self.pairs_journaled = 0
+        #: journaled pairs answered from the solve cache, and cold
+        #: solves that missed it (warm shortcuts and certified skips
+        #: never consult the cache); ``/v1/stats`` reports both.
+        self.cache_hits = 0
+        self.cache_misses = 0
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -299,12 +304,18 @@ class Scheduler:
         journal_path = self.store.journal_path(experiment.id)
         experiment.completed_pairs = self._journaled_pairs(journal_path)
 
-        def on_outcome(_outcome) -> None:
+        def on_outcome(outcome) -> None:
             experiment.completed_pairs += 1
-            self.pairs_journaled += 1
+            with self._lock:  # worker threads journal concurrently
+                self.pairs_journaled += 1
+                journaled = self.pairs_journaled
+                if outcome.cache_hit:
+                    self.cache_hits += 1
+                elif not (outcome.warm_used or outcome.certified):
+                    self.cache_misses += 1
             if (
                 self.config.chaos_kill_after > 0
-                and self.pairs_journaled >= self.config.chaos_kill_after
+                and journaled >= self.config.chaos_kill_after
             ):
                 # The chaos scenario: die *hard*, right after a
                 # durable journal append, with zero cleanup.

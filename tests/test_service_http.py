@@ -315,6 +315,29 @@ class TestEndToEnd:
         # an independent certificate check.
         assert records[0]["audited"] is True
 
+    def test_cross_tenant_replay_counts_cache_hits(self, live):
+        # A time limit no other test submits: its cache keys are fresh.
+        body = payload(time_limit=11.0)
+
+        def cache_counters():
+            _, _, raw = live.request("GET", "/v1/stats")
+            cache = json.loads(raw)["solve_cache"]
+            return cache["hits"], cache["misses"]
+
+        hits0, misses0 = cache_counters()
+        _, doc = live.submit(body, headers={"X-Tenant": "a"})
+        assert live.wait_terminal(doc["id"]) == "DONE"
+        hits1, misses1 = cache_counters()
+        assert (hits1, misses1) == (hits0, misses0 + 1)
+        # Tenant b posts the identical payload: a new experiment whose
+        # one pair is answered from tenant a's cache entry.
+        status, doc = live.submit(body, headers={"X-Tenant": "b"})
+        assert status == 201
+        assert live.wait_terminal(doc["id"]) == "DONE"
+        hits2, misses2 = cache_counters()
+        assert (hits2, misses2) == (hits1 + 1, misses1)
+        assert hits2 > 0
+
     def test_resume_of_done_experiment_is_byte_stable(self, live):
         _, doc = live.submit(payload(time_limit=12.0))
         exp_id = doc["id"]
