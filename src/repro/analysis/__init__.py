@@ -10,11 +10,11 @@ from repro.analysis.findings import (
 )
 from repro.analysis.model_lint import lint_model, lint_routing_ilp
 from repro.analysis.certify import certify_infeasible
-from repro.analysis.decompose import Component, decompose_model
+from repro.analysis.decompose import CsrComponent, decompose_csr
 from repro.analysis.presolve import (
     PresolveResult,
     PresolveTrace,
-    presolve_model,
+    presolve_csr,
     presolve_routing_ilp,
     solve_reduced,
 )
@@ -27,11 +27,11 @@ __all__ = [
     "lint_model",
     "lint_routing_ilp",
     "certify_infeasible",
-    "Component",
-    "decompose_model",
+    "CsrComponent",
+    "decompose_csr",
     "PresolveResult",
     "PresolveTrace",
-    "presolve_model",
+    "presolve_csr",
     "presolve_routing_ilp",
     "solve_reduced",
 ]

@@ -1,12 +1,48 @@
-"""Vectorized (CSR) twins of the model-reduction passes.
+"""Sound model-reduction passes over a built MILP, on CSR arrays.
 
-:class:`CsrWork` mirrors :class:`repro.analysis.reductions.Work` on
-contiguous numpy arrays; every pass in :data:`CSR_PASSES` is the
-vectorized twin of one object pass, implementing the *same* reduction
-semantics: same tolerances, same visit order, same notes.  The object
-passes stay the property-tested oracle (``tests/test_ilp_csr.py``
-sweeps reduction equivalence), and arbitrary extra object passes still
-run via the :func:`to_object_work` / :func:`load_object_work` bridge.
+Each pass rewrites the mutable columnar working form of the model
+(:class:`CsrWork`) and returns how many changes it made; the fixpoint
+driver :func:`repro.analysis.presolve.presolve_csr` iterates the
+passes until none fires.  Every rewrite preserves the model's
+feasibility status and its optimal objective value (though not
+necessarily the full feasible set -- e.g. flow circulations
+disconnected from any commodity path are removed), and every
+variable/row the passes touch is recorded so solutions of the reduced
+model lift back to the original variable space.
+
+Pass catalog (see ``docs/static_analysis.md``):
+
+- ``fix``: fix a variable to a value (seeded by per-net reachability
+  on routing ILPs, and fired by singleton rows / degenerate bounds);
+- ``singleton-row``: a row with one variable becomes a bound update
+  (equality rows substitute the variable outright);
+- ``bound-propagation`` / ``redundant-row``: per-row activity bounds
+  remove redundant rows, prove infeasibility, and tighten variable
+  bounds (with integer rounding);
+- ``coefficient-tightening``: classic presolve tightening of binary
+  coefficients in inequality rows (integer-equivalent, tighter LP
+  relaxation);
+- ``forced-subset``: a row forcing one unit into binaries that sit
+  inside a unit packing row fixes the packing row's other members;
+- ``dual-fixing``: variables whose movement toward a bound can never
+  hurt any row or the objective are pinned there;
+- ``duplicate-row``: support-bucketed, scale-normalized elimination
+  of duplicate/dominated rows, keeping the tightest;
+- ``clique-merge``: pairwise mutual-exclusion rows (witnessed by unit
+  packing rows and by cliques derived from balance equalities) merge
+  into maximal clique rows;
+- ``implication-merge``: SADP indicator families ``x + y_i - z <= 1``
+  with pairwise-conflicting ``y_i`` collapse into one row;
+- ``indicator-merge``: rows differing only in a single negated binary
+  merge into one scaled row;
+- ``uturn-row``: routing-seeded removal of exhausted two-variable
+  arc-exclusivity rows (see :func:`make_csr_uturn_pass`);
+- ``unconstrained-column``: columns in no remaining row are pinned to
+  their optimal bound (run after the catalog each iteration).
+
+The catalog is pinned by golden traces (``tests/fixtures/
+presolve_golden.json``) and by a raw-vs-presolved HiGHS soundness
+sweep; see ``docs/static_analysis.md``.
 
 Design: each pass assumes a *compacted* state (no dead rows, no zeroed
 entries, a fresh column index -- the driver compacts before every
@@ -15,15 +51,16 @@ pass, a no-op when nothing changed) and splits into
 1. a **vectorized detector** that either proves the pass quiescent --
    the common case on a fixpoint's later iterations, costing a few
    array ops instead of a Python sweep -- or locates the first row or
-   column where the object pass would act, and
-2. an **exact scalar tail** that replays the object pass's logic from
+   column where the pass would act, and
+2. an **exact scalar tail** that runs the pass's sequential sweep from
    that point on, because reductions mutate bounds mid-sweep and the
    later decisions depend on the earlier rewrites.
 
-Entry order within a row preserves the builder's emission order (the
-object ``_Row`` dict order), so sequential float accumulations --
-activity ranges via ``np.add.reduceat``, coefficient-tightening's
-in-row updates -- see the same operand order as the oracle.
+Entry order within a row preserves the builder's emission order, so
+sequential float accumulations -- activity ranges via
+``np.add.reduceat``, coefficient-tightening's in-row updates -- see
+the same operand order as a left-to-right Python loop, and the golden
+traces stay bit-exact.
 """
 
 from __future__ import annotations
@@ -33,27 +70,27 @@ import math
 
 import numpy as np
 
-from repro.analysis.reductions import (
-    _NORM_DIGITS,
-    _TOL,
-    _Row,
-    Work,
-    _unused_variable_value,
-)
 from repro.ilp.csr import (
     _CODE_TO_SENSE,
-    _SENSE_TO_CODE,
     SENSE_EQ,
     SENSE_GE,
     SENSE_LE,
     CsrModel,
 )
 
+_TOL = 1e-9
+#: Digits kept when normalizing coefficient vectors for row comparison.
+_NORM_DIGITS = 12
+#: Smallest continuous bound change bound propagation keeps.  Chained
+#: rows can otherwise creep a bound toward its limit in ever smaller
+#: steps until the range "closes" at a value off by rounding error.
+_CONT_STEP = 1e-3
+
 
 def _row_sums(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
     """Per-row sums of an entry-aligned vector, summed left-to-right
     within each row (``np.add.reduceat`` reduces sequentially, so the
-    result is bit-identical to the object passes' Python loops)."""
+    result is bit-identical to a left-to-right Python loop)."""
     if len(indptr) == 1:
         return np.zeros(0, dtype=np.float64)
     padded = np.append(values, 0.0)
@@ -70,11 +107,11 @@ def _row_counts(flags: np.ndarray, indptr: np.ndarray) -> np.ndarray:
 class _Extra:
     """A row appended mid-pass (merge passes); folded in at compact.
 
-    ``rid`` is the row's stable diagnostic id -- the index the same row
-    would occupy in the object ``Work.rows`` list, which only ever
-    grows.  Compaction renumbers physical rows but preserves ``rid``,
-    so infeasibility messages for unnamed rows quote the same index the
-    object pipeline would.
+    ``rid`` is the row's stable diagnostic id: original rows keep their
+    input index and appended rows take the next unused one, in append
+    order.  Compaction renumbers physical rows but preserves ``rid``,
+    so infeasibility messages for unnamed rows quote an index that does
+    not depend on when compaction happened to run.
     """
 
     __slots__ = ("cols", "vals", "sense", "rhs", "name", "live", "rid")
@@ -104,10 +141,9 @@ class CsrWork:
     removed entry, ``row_live`` a removed row, and merge passes append
     :class:`_Extra` rows; :meth:`compact` folds all of that back into
     dense arrays (preserving row order: surviving rows first, then
-    surviving extras -- exactly the object ``Work.rows`` list order)
-    and rebuilds the column index.  Scalar mutators (:meth:`fix_var`,
-    :meth:`tighten_lb`/:meth:`tighten_ub`) replicate the object
-    :class:`~repro.analysis.reductions.Work` methods line for line.
+    surviving extras) and rebuilds the column index.  Scalar mutators
+    (:meth:`fix_var`, :meth:`tighten_lb`/:meth:`tighten_ub`) update the
+    arrays and the column index in place.
     """
 
     __slots__ = (
@@ -159,8 +195,8 @@ class CsrWork:
         self.rhs = (-csr.row_const).astype(np.float64)
         self.row_live = np.ones(csr.n_rows, dtype=bool)
         self.row_names = list(csr.row_names) or [""] * csr.n_rows
-        # Stable diagnostic row ids (object ``Work.rows`` indices):
-        # compaction renumbers physical rows, these do not move.
+        # Stable diagnostic row ids (see ``_Extra.rid``): compaction
+        # renumbers physical rows, these do not move.
         self.row_ids = np.arange(csr.n_rows, dtype=np.int64)
         self._next_row_id = csr.n_rows
         self.extras: list[_Extra] = []
@@ -224,8 +260,8 @@ class CsrWork:
 
         Row order is preserved (surviving old rows, then surviving
         extras in append order) and entry order within each row is
-        preserved -- matching the object ``Work.rows`` list the same
-        sequence of object passes would have produced.  No-op when
+        preserved, so the passes' row-order-dependent sweeps see the
+        same sequence however often compaction runs.  No-op when
         nothing changed since the last compact.
         """
         if not self._dirty:
@@ -323,8 +359,8 @@ class CsrWork:
         return self.extras[r - len(self.senses)].name
 
     def row_id(self, r: int) -> int:
-        """Stable diagnostic id of physical row ``r`` (the index the
-        row occupies in the object ``Work.rows`` list)."""
+        """Stable diagnostic id of physical row ``r`` (see
+        :class:`_Extra`)."""
         if r < len(self.senses):
             return int(self.row_ids[r])
         return self.extras[r - len(self.senses)].rid
@@ -359,10 +395,14 @@ class CsrWork:
                 self._dirty = True
                 self.generation += 1
 
-    # -- scalar mutators (object Work mirrors) ------------------------------
+    # -- scalar mutators --------------------------------------------------
 
     def fix_var(self, j: int, value: float, reason: str) -> bool:
-        """Exact mirror of :meth:`Work.fix_var` on the column index."""
+        """Fix variable ``j`` and substitute it out of every row.
+
+        Returns False (and marks the model infeasible) when the value
+        contradicts the variable's bounds or integrality.
+        """
         if j in self.fixed:
             if abs(self.fixed[j] - value) > 1e-6:
                 self.mark_infeasible(
@@ -438,7 +478,7 @@ class CsrWork:
     def tighten_lb(self, j: int, lb: float) -> bool:
         if self.integer[j]:
             lb = math.ceil(lb - 1e-6)
-        if lb <= self.lb[j] + _TOL:
+        if lb <= self.lb[j] + (_TOL if self.integer[j] else _CONT_STEP):
             return False
         if lb > self.ub[j] + 1e-6:
             self.mark_infeasible(
@@ -456,7 +496,7 @@ class CsrWork:
     def tighten_ub(self, j: int, ub: float) -> bool:
         if self.integer[j]:
             ub = math.floor(ub + 1e-6)
-        if ub >= self.ub[j] - _TOL:
+        if ub >= self.ub[j] - (_TOL if self.integer[j] else _CONT_STEP):
             return False
         if ub < self.lb[j] - 1e-6:
             self.mark_infeasible(
@@ -484,17 +524,18 @@ class CsrWork:
 # -- passes -----------------------------------------------------------------
 #
 # All passes require a compacted state on entry (the driver guarantees
-# it); each mirrors its object twin's semantics exactly, including the
-# sweep order dependencies spelled out in reductions.py.
+# it).  Each is a forward sweep over rows (or columns) in order: a
+# rewrite changes bounds or rows that later decisions read, so the
+# sweep order is part of the pass's semantics.
 
 
 def csr_singleton_rows(work: CsrWork) -> int:
-    """Vectorized twin of ``pass_singleton_rows``.
+    """Rows with one variable: substitute (==) or fold into bounds.
 
-    The object pass is a forward sweep that also catches rows *newly*
-    reduced to one variable at indices ahead of the sweep pointer; a
-    min-heap fed by :meth:`CsrWork.fix_var` replays exactly that: a
-    new singleton is processed iff its index is past the pointer.
+    The sweep also catches rows *newly* reduced to one variable at
+    indices ahead of the sweep pointer; a min-heap fed by
+    :meth:`CsrWork.fix_var` gives exactly that: a new singleton is
+    processed iff its index is past the pointer.
     """
     candidates = np.flatnonzero(work.row_nnz == 1).tolist()
     if not candidates:
@@ -545,14 +586,14 @@ def csr_singleton_rows(work: CsrWork) -> int:
 
 
 def csr_bound_propagation(work: CsrWork) -> int:
-    """Vectorized twin of ``pass_bound_propagation``.
+    """Remove redundant rows, prove infeasibility, tighten bounds.
 
     Activity ranges, infeasibility/redundancy gates, and the would-a-
     tighten-fire predicate are computed for every row at once.  Rows
     before the first state-changing row saw exactly the pass-start
     bounds, so their redundancy removals apply vectorized; from the
-    first tightening (or infeasible) row on, the object sweep replays
-    scalar because each tighten shifts later rows' activity ranges.
+    first tightening (or infeasible) row on, the sweep runs scalar
+    because each tighten shifts later rows' activity ranges.
     """
     if not len(work.senses):
         return 0
@@ -591,6 +632,7 @@ def csr_bound_propagation(work: CsrWork) -> int:
         ge_like = (work.senses != SENSE_LE)[row_of] & np.isfinite(hi)[row_of]
         pos = work.data > 0
         int_j = work.integer[work.indices]
+        step = np.where(int_j, _TOL, _CONT_STEP)
         tighten_entry = np.zeros(len(work.data), dtype=bool)
         for like, use_term, toward_ub in (
             (le_like, term_lo, True),
@@ -609,8 +651,8 @@ def csr_bound_propagation(work: CsrWork) -> int:
             cand_lb = np.where(int_j, np.ceil(bound - 1e-6), bound)
             fires = np.where(
                 hits_ub,
-                cand_ub < (work.ub[work.indices] - _TOL),
-                cand_lb > (work.lb[work.indices] + _TOL),
+                cand_ub < (work.ub[work.indices] - step),
+                cand_lb > (work.lb[work.indices] + step),
             )
             tighten_entry |= mask & fires
     tighten_rows = np.zeros(len(work.senses), dtype=bool)
@@ -627,7 +669,7 @@ def csr_bound_propagation(work: CsrWork) -> int:
         work.remove_row(r)
         work.note("redundant-row")
         changed += 1
-    # Exact object sweep from the first effectful row on.
+    # Exact sequential sweep from the first effectful row on.
     for r in range(first, len(work.senses)):
         if work.infeasible:
             break
@@ -680,7 +722,11 @@ def csr_bound_propagation(work: CsrWork) -> int:
 def _csr_propagate_row_bounds(
     work: CsrWork, r: int, lo: float, hi: float
 ) -> int:
-    """Exact mirror of ``_propagate_row_bounds`` on CSR storage."""
+    """Implied per-variable bounds from one row's activity range.
+
+    For ``<=``: ``coef*x_j <= rhs - (lo - min-term_j)``; for ``>=`` and
+    ``==`` analogously.
+    """
     changed = 0
     sense = int(work.senses[r])
     le_like = sense in (SENSE_LE, SENSE_EQ)
@@ -692,7 +738,10 @@ def _csr_propagate_row_bounds(
         if abs(coef) < _TOL:
             continue
         if len(work.fixed) != n_fixed_before:
-            # fix_var rewrote this row under us (see the object twin).
+            # A tighten closed some variable's bounds and fix_var
+            # rewrote this row (and lo/hi) under us; stop and let the
+            # next fixpoint iteration re-derive bounds from fresh
+            # activity ranges rather than mixing stale and new state.
             break
         j = int(work.indices[p])
         term_lo = min(coef * work.lb[j], coef * work.ub[j])
@@ -708,6 +757,11 @@ def _csr_propagate_row_bounds(
                     changed += 1
         if work.infeasible:
             return changed
+        if len(work.fixed) != n_fixed_before:
+            # The tighten above fixed x_j itself: its entry and the rhs
+            # are rewritten, and ``hi``/``term_hi`` are stale (same
+            # story as above; mixing them proved false infeasibility).
+            break
         if ge_like and not math.isinf(hi):
             limit = float(work.rhs[r]) - (hi - term_hi)
             if coef > 0:
@@ -722,12 +776,18 @@ def _csr_propagate_row_bounds(
 
 
 def csr_coefficient_tightening(work: CsrWork) -> int:
-    """Vectorized twin of ``pass_coefficient_tightening``.
+    """Tighten binary coefficients in inequality rows.
+
+    For ``S + a_j x_j <= b`` with binary ``x_j``, ``a_j > 0`` and the
+    other terms' max activity ``U <= b``: the ``x_j = 0`` branch is
+    unconstrained, so ``a_j' = a_j - (b - U)`` and ``b' = U`` is
+    integer-equivalent with a tighter LP relaxation (symmetrically for
+    ``a_j < 0`` and for ``>=`` rows).
 
     Rows are independent here (only the row's own coefficients and rhs
     change, never bounds), so the detector flags rows where the first
     in-row update would fire under pass-start values and only those
-    rows replay the object's sequential in-row loop.
+    rows run the sequential in-row loop.
     """
     if not len(work.senses):
         return 0
@@ -801,12 +861,14 @@ def csr_coefficient_tightening(work: CsrWork) -> int:
 
 
 def csr_duplicate_rows(work: CsrWork) -> int:
-    """Vectorized twin of ``pass_duplicate_rows``.
+    """Drop duplicate/dominated rows, bucketed by support signature.
 
-    Support signatures bucket vectorized (sorted column bytes); the
-    scale-normalized coefficient signature -- whose ``round()`` must
-    match the object pass bit for bit -- runs in Python only on rows
-    whose support actually collides.
+    Rows proportional by a positive factor normalize identically; a
+    negative factor flips the sense, so ``-x - y >= -1`` matches
+    ``x + y <= 1``.  Support signatures bucket vectorized (sorted
+    column bytes); the scale-normalized coefficient signature -- whose
+    ``round()`` decides which rows count as duplicates -- runs in
+    Python only on rows whose support actually collides.
     """
     n_rows = len(work.senses)
     if not n_rows:
@@ -896,12 +958,24 @@ def _is_unit_packing_row_csr(work: CsrWork, r: int) -> bool:
 
 
 def csr_forced_subset(work: CsrWork) -> int:
-    """Vectorized twin of ``pass_forced_subset``.
+    """Fix packing-row members excluded by a forced variable subset.
+
+    A row that implies ``sum_{j in P} x_j >= r`` over binaries with
+    ``r >= 1`` (an equality or inequality whose remaining terms have
+    bounded activity) forces at least one unit into P.  If P lies
+    inside a unit packing row ``sum_{j in W} x_j <= 1``, the members
+    of ``W \\ P`` can never be 1 and are fixed to 0; if ``r > 1`` the
+    two rows are outright contradictory.  On routing models this
+    fires at pin vertices with a single access point: once the
+    singleton pass fixes the pin's virtual arc, the access vertex's
+    flow-conservation row forces one unit into the net's entering
+    arcs, which sit inside the vertex-capacity row -- so every other
+    net's arc entering that vertex is fixed to 0.
 
     The detector flags rows that could force one unit into packed
-    binaries under pass-start bounds; flagged rows replay the object
-    logic scalar, and the first actual fix switches to a full scalar
-    sweep of the remaining rows (fixes shift later rows' activity)."""
+    binaries under pass-start bounds; flagged rows run scalar, and the
+    first actual fix switches to a full scalar sweep of the remaining
+    rows (fixes shift later rows' activity)."""
     n_rows = len(work.senses)
     if not n_rows:
         return 0
@@ -1019,9 +1093,17 @@ def csr_forced_subset(work: CsrWork) -> int:
 
 
 def csr_dual_fixing(work: CsrWork) -> int:
-    """Vectorized twin of ``pass_dual_fixing``: per-column safety flags
-    via entry bincounts, exact scalar sweep from the first flagged
-    column (a fix can empty rows and unlock later columns)."""
+    """Fix variables whose movement toward one bound can never hurt.
+
+    Minimizing: if ``c_j >= 0`` and every row relaxes as ``x_j``
+    decreases (``<=`` rows with nonnegative coefficient, ``>=`` rows
+    with nonpositive coefficient, no equality rows), any feasible
+    point stays feasible and no worse with ``x_j = lb`` -- so fix it
+    there (symmetrically to ``ub`` for ``c_j <= 0``).  Preserves
+    feasibility status and optimal objective, not the full solution
+    set.  Per-column safety flags come from entry bincounts; the exact
+    scalar sweep starts at the first flagged column (a fix can empty
+    rows and unlock later columns)."""
     n = work.n_vars
     if not len(work.senses):
         return 0
@@ -1097,13 +1179,20 @@ def csr_dual_fixing(work: CsrWork) -> int:
 def _csr_conflict_adjacency(
     work: CsrWork, packing_mask: np.ndarray
 ) -> dict[int, set[int]]:
-    """Conflict adjacency (var -> vars it conflicts with), derived
-    from the same witness structure as the object twin
-    ``_conflict_witnesses``: two binaries conflict iff they share a
-    packing row or a negative-id clique from a balance equality.
-    Collapsing the witness-row indirection into direct adjacency turns
-    every downstream conflict test into one set membership/subset op
-    without changing its truth value."""
+    """Conflict adjacency (var -> vars it conflicts with).
+
+    Two binaries conflict iff they can never both be 1, witnessed by
+    (a) a live unit packing row -- all members of an all-unit ``<= 1``
+    row over nonnegative binaries are pairwise exclusive -- or (b) a
+    clique *derived* from a balance equality: in ``sum P - sum N ==
+    0`` over unit-coefficient binaries, if ``sum N <= 1`` is known
+    (``|N| == 1``, or all of N inside one packing row), then ``sum P
+    <= 1`` follows, so P is a clique (and symmetrically N).  On
+    routing models (b) derives "at most one arc of a net leaves a
+    vertex" from flow conservation plus the vertex-capacity row, which
+    no packing row states directly.  Direct adjacency (rather than
+    witness ids) makes every downstream conflict test one set
+    membership/subset op."""
     conflict: dict[int, set[int]] = {}
     packing_witness: dict[int, set[int]] = {}
     sel = packing_mask[work.entry_row] & (work.data != 0.0)
@@ -1119,9 +1208,8 @@ def _csr_conflict_adjacency(
             conflict.setdefault(j, set()).update(mset)
 
     def covered_by_one_packing_row(members: list[int]) -> bool:
-        # ``packing_witness`` holds exactly the nonnegative (packing
-        # row) witness ids, so the scalar ``w >= 0`` filter of the
-        # object twin becomes a dict lookup.
+        # ``packing_witness`` holds only packing-row witnesses, so
+        # "all members inside one packing row" is a dict lookup.
         if len(members) == 1:
             return True
         common: set[int] | None = None
@@ -1166,9 +1254,23 @@ def _csr_conflict_adjacency(
 
 
 def csr_clique_merge(work: CsrWork) -> int:
-    """Twin of ``pass_clique_merge``: vectorized packing/conflict
-    detection, then the object pass's greedy maximal-extension loop
-    verbatim (the greedy is inherently sequential)."""
+    """Merge pairwise mutual-exclusion rows into clique rows.
+
+    A ``<= 1`` row with unit coefficients over nonnegative binaries
+    says "at most one of these is 1", so any two of its variables
+    conflict.  A set of variables that conflict *pairwise* admits the
+    clique row ``sum x <= 1`` -- exact on integer points and strictly
+    tighter than the pairwise rows on the LP relaxation.  The pass
+    greedily extends each such row to a maximal clique and, when the
+    clique row covers several existing rows with fewer nonzeros than
+    their sum, replaces them.  Conflicts stay backed across merges: a
+    removed row's variable pairs all lie inside the merged row, so the
+    rewrite never invents an edge.  This collapses via-adjacency
+    neighborhoods and SADP forbidden-pattern pairs under the FULL via
+    restriction, where 2x2 site tiles are 4-cliques.
+
+    Packing/conflict detection is vectorized; the greedy extension is
+    inherently sequential."""
     work._witness_handoff = None
     packing_mask = _unit_packing_mask(work)
     if not np.any(packing_mask):
@@ -1229,8 +1331,7 @@ def csr_clique_merge(work: CsrWork) -> int:
         )
         unit_support[new_index] = frozenset(support)
         # The merged row is itself a packing row, so its members now
-        # pairwise conflict -- the adjacency twin of the object pass
-        # adding the new row id to every member's witness set.
+        # pairwise conflict.
         for j in support:
             var_rows.setdefault(j, set()).add(new_index)
             conflict.setdefault(j, set()).update(support)
@@ -1246,9 +1347,17 @@ def csr_clique_merge(work: CsrWork) -> int:
 
 
 def csr_implication_merge(work: CsrWork) -> int:
-    """Twin of ``pass_implication_merge``: vectorized 3-nonzero shape
-    prefilter; witnesses are only computed once a family of two or
-    more candidate rows actually exists."""
+    """Merge implication rows ``x + y_i - z <= 1`` sharing ``(z, x)``.
+
+    The SADP EOL linearization emits one row per (wire arc, crossing
+    arc) pair: ``e_wire + e_cross - p <= 1``.  When the crossing arcs
+    ``y_i`` of one family pairwise conflict (at most one is 1), the
+    family collapses to ``x + sum y_i - z <= 1``: merged implies each
+    member (the dropped ``y`` terms are nonnegative), and members plus
+    conflicts imply merged, so the integer feasible set is preserved
+    while ``3L`` nonzeros become ``L + 2``.  A vectorized 3-nonzero
+    shape prefilter runs first; conflicts are only computed once a
+    family of two or more candidate rows actually exists."""
     handoff = work._witness_handoff
     work._witness_handoff = None
     n_rows = len(work.senses)
@@ -1326,8 +1435,15 @@ def csr_implication_merge(work: CsrWork) -> int:
 
 
 def csr_indicator_merge(work: CsrWork) -> int:
-    """Twin of ``pass_indicator_merge`` (vectorized shape prefilter,
-    scalar grouping in row order)."""
+    """Merge rows ``A - p_i <= r`` sharing body A into one scaled row.
+
+    ``k`` rows with identical positive body ``A`` (unit coefficients
+    over binaries) and identical *integral* rhs merge into ``k*A - sum
+    p_i <= k*r``: members imply merged (sum them), and merged implies
+    members on integer points (``A <= r`` leaves every member slack,
+    ``A == r + 1`` forces every indicator up, ``A > r + 1`` violates
+    both).  ``k*(|A| + 1)`` nonzeros become ``|A| + k``.  Vectorized
+    shape prefilter, scalar grouping in row order."""
     n_rows = len(work.senses)
     if not n_rows:
         return 0
@@ -1362,7 +1478,7 @@ def csr_indicator_merge(work: CsrWork) -> int:
         if len(members) < 2:
             continue
         if abs(rhs - round(rhs)) > _TOL:
-            continue  # merge only sound for integral rhs (see oracle)
+            continue  # merged implies members only for integral rhs
         indicators = [p for _, p in members]
         if len(set(indicators)) != len(indicators):
             continue  # duplicate-row pass owns identical members
@@ -1382,8 +1498,21 @@ def csr_indicator_merge(work: CsrWork) -> int:
 
 
 def make_csr_uturn_pass(pairs: "set[frozenset[int]]"):
-    """CSR twin of ``make_uturn_row_pass`` (same re-verification of
-    the surrounding rows before each removal)."""
+    """Build a pass removing exhausted U-turn exclusivity rows.
+
+    ``pairs`` names forward/reverse arc variable pairs of one net
+    whose objective costs are strictly positive (the routing caller
+    derives them from the graph).  Once every other variable of an
+    arc-exclusivity row is fixed, the surviving 2-variable row ``e_a +
+    e_rev <= 1`` only forbids a 2-cycle over one undirected segment.
+    Cancelling such a cycle keeps every flow-conservation equality
+    balanced, relaxes every remaining inequality, and strictly lowers
+    the objective -- so no optimal solution uses one, and dropping the
+    row preserves both status and optimal value.  The structural facts
+    the argument needs are re-verified against the *current* rows
+    before each removal, so the pass stays sound whichever other
+    reductions ran first.
+    """
 
     def safe(work: CsrWork, pair_row: int, j: int, other: int) -> bool:
         for p in work.col_entry[
@@ -1444,8 +1573,20 @@ def make_csr_uturn_pass(pairs: "set[frozenset[int]]"):
     return csr_uturn_rows
 
 
+def _unused_variable_value(
+    lb: float, ub: float, coef: float
+) -> float | None:
+    """Optimal value of a variable appearing in no constraint."""
+    if coef > 0 or (coef == 0 and not math.isinf(lb)):
+        return lb if not math.isinf(lb) else None
+    if coef < 0:
+        return ub if not math.isinf(ub) else None
+    return ub if not math.isinf(ub) else 0.0
+
+
 def csr_unconstrained_columns(work: CsrWork) -> int:
-    """Vectorized twin of ``pass_unconstrained_columns``."""
+    """Fix columns that appear in no remaining row to their optimal
+    bound (minimization: lb for positive cost, ub for negative)."""
     counts = (
         np.bincount(work.indices, minlength=work.n_vars)
         if len(work.indices)
@@ -1476,7 +1617,9 @@ def csr_unconstrained_columns(work: CsrWork) -> int:
     return changed
 
 
-#: CSR pass sequence, same order as ``reductions.PASSES``.
+#: The fixpoint pass sequence.  Passes sweep in order and later
+#: passes read earlier rewrites, so the order is part of the golden
+#: traces.
 CSR_PASSES = (
     csr_singleton_rows,
     csr_bound_propagation,
@@ -1494,8 +1637,8 @@ CSR_PASSES = (
 
 
 def extract_csr_model(work: CsrWork) -> tuple[CsrModel, dict[int, int]]:
-    """Reduced columnar model plus old->new column map (twin of
-    ``extract_model``; same variable order, same row order)."""
+    """Reduced columnar model plus old->new column map (surviving
+    variables and rows in their original order)."""
     work.compact()
     n = work.n_vars
     keep = np.ones(n, dtype=bool)
@@ -1526,7 +1669,7 @@ def extract_csr_model(work: CsrWork) -> tuple[CsrModel, dict[int, int]]:
 
 
 def live_counts_csr(work: CsrWork) -> tuple[int, int, int]:
-    """(rows, cols, nonzeros) still present (twin of ``live_counts``)."""
+    """(rows, cols, nonzeros) still present in the working model."""
     live_entry = (work.data != 0.0) & work.row_live[work.entry_row]
     rows = int(np.count_nonzero(work.row_live)) + sum(
         1 for ex in work.extras if ex.live
@@ -1536,96 +1679,3 @@ def live_counts_csr(work: CsrWork) -> tuple[int, int, int]:
         len(ex.cols) for ex in work.extras if ex.live
     )
     return rows, cols, nonzeros
-
-
-# -- object-pass bridge -----------------------------------------------------
-
-
-def to_object_work(work: CsrWork) -> Work:
-    """Materialize the equivalent object ``Work`` (compacted state) so
-    arbitrary extra object passes can run against CSR-presolved state."""
-    work.compact()
-    rows: list[_Row | None] = []
-    col_rows: dict[int, set[int]] = {}
-    indptr = work.indptr.tolist()
-    cols = work.indices.tolist()
-    vals = work.data.tolist()
-    senses = work.senses.tolist()
-    rhs = work.rhs.tolist()
-    for r in range(len(senses)):
-        s, e = indptr[r], indptr[r + 1]
-        coefs = dict(zip(cols[s:e], vals[s:e]))
-        rows.append(
-            _Row(coefs, _CODE_TO_SENSE[senses[r]], rhs[r], work.row_names[r])
-        )
-        for j in coefs:
-            col_rows.setdefault(j, set()).add(r)
-    obj_nz = np.flatnonzero(work.obj)
-    return Work(
-        name=work.name,
-        lb=work.lb.tolist(),
-        ub=work.ub.tolist(),
-        integer=work.integer.tolist(),
-        var_names=list(work.var_names),
-        obj=dict(zip(obj_nz.tolist(), work.obj[obj_nz].tolist())),
-        obj_const=float(work.obj_const),
-        rows=rows,
-        col_rows=col_rows,
-        fixed=dict(work.fixed),
-        infeasible_reason=work.infeasible_reason,
-        counts=dict(work.counts),
-    )
-
-
-def load_object_work(work: CsrWork, obj_work: Work) -> None:
-    """Fold a (possibly mutated) object ``Work`` back into ``work``,
-    preserving the object row order (live rows in list order)."""
-    n = len(obj_work.var_names)
-    work.var_names = list(obj_work.var_names)
-    work.lb = np.asarray(obj_work.lb, dtype=np.float64)
-    work.ub = np.asarray(obj_work.ub, dtype=np.float64)
-    work.integer = np.asarray(obj_work.integer, dtype=bool)
-    work.obj = np.zeros(n, dtype=np.float64)
-    for j, coef in obj_work.obj.items():
-        work.obj[j] = coef
-    work.obj_const = float(obj_work.obj_const)
-    work.fixed = dict(obj_work.fixed)
-    work.counts = dict(obj_work.counts)
-    work.infeasible_reason = obj_work.infeasible_reason
-    cols: list[int] = []
-    vals: list[float] = []
-    indptr = [0]
-    senses: list[int] = []
-    rhs: list[float] = []
-    names: list[str] = []
-    ids: list[int] = []
-    n_bridged = len(work.row_ids)
-    for i, row in enumerate(obj_work.rows):
-        if row is None:
-            continue
-        cols.extend(row.coefs.keys())
-        vals.extend(row.coefs.values())
-        indptr.append(len(cols))
-        senses.append(_SENSE_TO_CODE[row.sense])
-        rhs.append(row.rhs)
-        names.append(row.name)
-        # Rows handed to the bridge keep their stable id; rows the
-        # object pass appended get fresh ones, in append order.
-        if i < n_bridged:
-            ids.append(int(work.row_ids[i]))
-        else:
-            ids.append(work._next_row_id)
-            work._next_row_id += 1
-    work.indices = np.asarray(cols, dtype=np.int64)
-    work.data = np.asarray(vals, dtype=np.float64)
-    work.indptr = np.asarray(indptr, dtype=np.int64)
-    work.senses = np.asarray(senses, dtype=np.int8)
-    work.rhs = np.asarray(rhs, dtype=np.float64)
-    work.row_names = names
-    work.row_ids = np.asarray(ids, dtype=np.int64)
-    work.row_live = np.ones(len(senses), dtype=bool)
-    work.extras = []
-    work._dirty = False
-    # The object pass mutated state the counter could not observe.
-    work.generation += 1
-    work._reindex()

@@ -20,11 +20,10 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from repro.ilp.csr import CsrModel
-from repro.ilp.model import Constraint, LinExpr, Model
 
 
 @dataclass(frozen=True)
-class Component:
+class CsrComponent:
     """One independent subproblem of a decomposed model.
 
     ``var_map`` maps the parent model's variable index to this
@@ -32,124 +31,23 @@ class Component:
     into the parent's variable space.
     """
 
-    model: Model
-    var_map: dict[int, int]
-
-
-@dataclass(frozen=True)
-class CsrComponent:
-    """Columnar twin of :class:`Component` (same ``var_map`` contract)."""
-
     model: CsrModel
     var_map: dict[int, int]
 
 
-class _UnionFind:
-    __slots__ = ("parent",)
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:  # path compression
-            self.parent[i], i = root, self.parent[i]
-        return root
-
-    def union(self, i: int, j: int) -> None:
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[max(ri, rj)] = min(ri, rj)
-
-
-def decompose_model(model: Model) -> list[Component]:
-    """Split ``model`` into independent components.
-
-    Returns components ordered by their smallest parent variable index
-    (deterministic).  A model with a single component comes back as one
-    Component whose model is a rebuilt copy, so callers can treat the
-    single- and multi-component cases uniformly.  The parent objective
-    constant is NOT distributed -- each component model carries a zero
-    objective constant and the caller re-adds ``model.objective.const``
-    exactly once when merging.
-    """
-    n = len(model.variables)
-    uf = _UnionFind(n)
-    for con in model.constraints:
-        indices = iter(con.expr.coefs)
-        first = next(indices, None)
-        if first is None:
-            continue
-        for j in indices:
-            uf.union(first, j)
-
-    # Group constrained variables by root; leave unconstrained ones to
-    # whichever component comes first (they are analytically separable
-    # anyway, and presolve normally fixed them already).
-    roots: dict[int, list[int]] = {}
-    constrained = set()
-    for con in model.constraints:
-        constrained.update(con.expr.coefs)
-    for j in range(n):
-        if j in constrained:
-            roots.setdefault(uf.find(j), []).append(j)
-    unconstrained = [j for j in range(n) if j not in constrained]
-    if not roots:
-        if n == 0:
-            return []
-        roots = {n: []}  # single pseudo-component for the loose columns
-    if unconstrained:
-        first_root = min(roots)
-        roots[first_root] = sorted(roots[first_root] + unconstrained)
-
-    components: list[Component] = []
-    for root in sorted(roots):
-        members = roots[root]
-        sub = Model(name=f"{model.name}__c{len(components)}")
-        var_map: dict[int, int] = {}
-        for j in members:
-            parent_var = model.variables[j]
-            var_map[j] = sub.var(
-                parent_var.name,
-                parent_var.lb,
-                parent_var.ub,
-                integer=parent_var.is_integer,
-            ).index
-        member_set = var_map.keys()
-        for con in model.constraints:
-            if not con.expr.coefs:
-                continue
-            first = next(iter(con.expr.coefs))
-            if first not in member_set:
-                continue
-            expr = LinExpr(
-                {var_map[j]: c for j, c in con.expr.coefs.items()},
-                con.expr.const,
-            )
-            sub.constraints.append(Constraint(expr, con.sense, con.name))
-        sub.objective = LinExpr(
-            {
-                var_map[j]: c
-                for j, c in model.objective.coefs.items()
-                if j in member_set
-            },
-            0.0,
-        )
-        components.append(Component(model=sub, var_map=var_map))
-    return components
-
-
 def decompose_csr(csr: CsrModel) -> list[CsrComponent]:
-    """Columnar :func:`decompose_model`: identical partition, ordering,
-    and per-component row order, computed on the CSR arrays.
+    """Split ``csr`` into independent components.
 
     Variable connectivity is the bipartite (row, var) incidence graph's
     component structure (``scipy.sparse.csgraph``); a row belongs to the
-    component of its first stored entry, matching the object walk.  Each
-    component model carries a zero objective constant, exactly like the
-    object decomposition.
+    component of its first stored entry and keeps its parent row order.
+    Components come back ordered by their smallest parent variable
+    index (deterministic).  A model with a single component comes back
+    as one rebuilt component, so callers treat the single- and
+    multi-component cases uniformly.  The parent objective constant is
+    NOT distributed -- each component model carries a zero objective
+    constant and the caller re-adds ``csr.obj_const`` exactly once when
+    merging.
     """
     n = csr.n_vars
     if n == 0:
@@ -175,10 +73,11 @@ def decompose_csr(csr: CsrModel) -> list[CsrComponent]:
     groups: dict[int, list[int]] = {}
     for j in np.flatnonzero(constrained).tolist():
         groups.setdefault(int(labels[j]), []).append(j)
-    # Ascending member lists, components ordered by smallest member --
-    # the object union-find's union-by-min gives exactly this order.
+    # Ascending member lists, components ordered by smallest member.
     ordered = sorted(groups.values(), key=lambda members: members[0])
     loose = np.flatnonzero(~constrained).tolist()
+    # Unconstrained columns join the first component (they are
+    # analytically separable anyway, and presolve normally fixed them).
     if not ordered:
         ordered = [[]]  # single pseudo-component for the loose columns
     if loose:

@@ -2,10 +2,10 @@
 
 Promotes the facts PR 1's linter only *reported* into model rewrites:
 
-1. :func:`presolve_model` runs the sound reduction passes of
-   :mod:`repro.analysis.reductions` to a fixpoint and returns a
-   reduced model plus a :class:`PresolveTrace` that makes every
-   transformation invertible;
+1. :func:`presolve_csr` runs the sound reduction passes of
+   :mod:`repro.analysis.csr_reductions` to a fixpoint on a columnar
+   model and returns a reduced model plus a :class:`PresolveTrace`
+   that makes every transformation invertible;
 2. :func:`presolve_routing_ilp` additionally seeds variable fixes
    from certify-style per-net reachability over the rule-pruned
    routing graph (arcs no supersource->supersink flow can ever use
@@ -23,9 +23,10 @@ reachability fixing removes flow circulations disconnected from any
 commodity path, and unconstrained columns are pinned to their best
 bound.  Any feasible point of the reduced model lifts to a feasible
 point of the original with the same objective, so LIMIT incumbents
-stay valid too.  The contract is enforced by a hypothesis
-equivalence sweep (raw vs presolved solve) and by running the DRC
-checker as an independent oracle on every lifted routing; see
+stay valid too.  The contract is enforced by hypothesis sweeps of
+raw vs presolved solves (random MILPs and routing clips), by running
+the DRC checker as an independent oracle on every lifted routing, and
+by golden traces that pin each pass's exact rewrites; see
 ``docs/static_analysis.md``.
 """
 
@@ -38,31 +39,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.analysis.csr_reductions import (
+    _TOL,
     CSR_PASSES,
     CsrWork,
     csr_unconstrained_columns,
     extract_csr_model,
     live_counts_csr,
-    load_object_work,
     make_csr_uturn_pass,
-    to_object_work,
 )
-from repro.analysis.decompose import (
-    Component,
-    CsrComponent,
-    decompose_csr,
-    decompose_model,
-)
-from repro.analysis.reductions import (
-    PASSES,
-    Work,
-    extract_model,
-    live_counts,
-    make_uturn_row_pass,
-    pass_unconstrained_columns,
-)
-from repro.ilp.csr import SENSE_LE, CsrModel
-from repro.ilp.model import Model
+from repro.analysis.decompose import CsrComponent, decompose_csr
+from repro.ilp.csr import SENSE_EQ, SENSE_GE, SENSE_LE, CsrModel
 from repro.ilp.status import Solution, SolveStatus
 from repro.router.formulation import RoutingIlp
 
@@ -70,12 +56,11 @@ from repro.router.formulation import RoutingIlp
 #: must strictly shrink or tighten the model) but keeps presolve total.
 MAX_ITERATIONS = 20
 
-#: Backend signature consumed by :func:`solve_reduced`: a model (object
-#: or columnar) plus a remaining-time budget in seconds (None =
-#: unlimited).  On the columnar presolve path the callable receives
-#: :class:`CsrModel` components; backends that only understand object
-#: models convert with :meth:`CsrModel.to_model`.
-SolverFn = Callable[["Model | CsrModel", "float | None"], Solution]
+#: Backend signature consumed by :func:`solve_reduced`: a columnar
+#: component model plus a remaining-time budget in seconds (None =
+#: unlimited).  Backends that only understand object models convert
+#: with :meth:`CsrModel.to_model`.
+SolverFn = Callable[[CsrModel, "float | None"], Solution]
 
 
 @dataclass
@@ -158,123 +143,22 @@ class PresolveTrace:
         }
 
 
+@dataclass
 class PresolveResult:
     """Reduced model + trace (+ a status when presolve decided one).
 
-    Both the original and the reduced model are available in object
-    form (``original``/``reduced``) and, when presolve ran on the
-    columnar path, in CSR form (``original_csr``/``reduced_csr``).
-    Whichever form presolve produced is authoritative; the other is
-    materialized lazily on first access, so the cold path never pays
-    for an object model nobody reads.
+    ``original_csr`` is the model the trace's ``*_before`` counts and
+    lifted variable space refer to; ``reduced_csr`` is what the solver
+    sees.
     """
 
-    def __init__(
-        self,
-        original: Model | None = None,
-        reduced: Model | None = None,
-        trace: PresolveTrace | None = None,
-        status: SolveStatus | None = None,
-        reason: str | None = None,
-        original_csr: CsrModel | None = None,
-        reduced_csr: CsrModel | None = None,
-    ):
-        self._original = original
-        self._reduced = reduced
-        self.trace = trace
-        #: ``SolveStatus.INFEASIBLE`` when a reduction proved the model
-        #: infeasible; ``None`` when the solver still has to rule.
-        self.status = status
-        self.reason = reason
-        self.original_csr = original_csr
-        self.reduced_csr = reduced_csr
-
-    @property
-    def original(self) -> Model:
-        if self._original is None and self.original_csr is not None:
-            self._original = self.original_csr.to_model()
-        return self._original
-
-    @original.setter
-    def original(self, model: Model) -> None:
-        self._original = model
-
-    @property
-    def reduced(self) -> Model:
-        if self._reduced is None and self.reduced_csr is not None:
-            self._reduced = self.reduced_csr.to_model()
-        return self._reduced
-
-    @reduced.setter
-    def reduced(self, model: Model) -> None:
-        self._reduced = model
-
-
-def presolve_model(
-    model: Model,
-    seed_fixes: dict[int, float] | None = None,
-    seed_reason: str = "seeded fix",
-    max_iterations: int = MAX_ITERATIONS,
-    extra_passes: "tuple[Callable[[Work], int], ...]" = (),
-) -> PresolveResult:
-    """Reduce ``model`` to a fixpoint of the pass catalog.
-
-    ``seed_fixes`` (variable index -> value) are applied before the
-    first iteration; routing callers seed reachability-proven zeros.
-    ``extra_passes`` run after the generic catalog in each iteration
-    (routing callers add the structural U-turn row pass).  The input
-    model is never mutated.
-    """
-    t0 = time.perf_counter()
-    n_vars_before = model.n_vars
-    n_rows_before = model.n_constraints
-    n_nonzeros_before = sum(len(c.expr.coefs) for c in model.constraints)
-
-    work = Work.from_model(model)
-    if seed_fixes:
-        for index, value in seed_fixes.items():
-            if work.infeasible:
-                break
-            work.fix_var(index, value, seed_reason)
-
-    iterations = 0
-    while not work.infeasible and iterations < max_iterations:
-        iterations += 1
-        changed = 0
-        for reduction in PASSES + extra_passes:
-            if work.infeasible:
-                break
-            changed += reduction(work)
-        if not work.infeasible:
-            changed += pass_unconstrained_columns(work)
-        if changed == 0:
-            break
-
-    reduced, col_map = extract_model(work)
-    rows_after, cols_after, nonzeros_after = live_counts(work)
-    trace = PresolveTrace(
-        col_map=col_map,
-        fixed=dict(work.fixed),
-        pass_counts=dict(work.counts),
-        iterations=iterations,
-        n_vars_before=n_vars_before,
-        n_rows_before=n_rows_before,
-        n_nonzeros_before=n_nonzeros_before,
-        n_vars_after=cols_after,
-        n_rows_after=rows_after,
-        n_nonzeros_after=nonzeros_after,
-        seed_fix_count=len(seed_fixes) if seed_fixes else 0,
-        presolve_seconds=time.perf_counter() - t0,
-        infeasible_reason=work.infeasible_reason,
-    )
-    status = SolveStatus.INFEASIBLE if work.infeasible else None
-    return PresolveResult(
-        original=model,
-        reduced=reduced,
-        trace=trace,
-        status=status,
-        reason=work.infeasible_reason,
-    )
+    trace: PresolveTrace
+    #: ``SolveStatus.INFEASIBLE`` when a reduction proved the model
+    #: infeasible; ``None`` when the solver still has to rule.
+    status: SolveStatus | None
+    reason: str | None
+    original_csr: CsrModel
+    reduced_csr: CsrModel
 
 
 def presolve_csr(
@@ -282,18 +166,15 @@ def presolve_csr(
     seed_fixes: dict[int, float] | None = None,
     seed_reason: str = "seeded fix",
     max_iterations: int = MAX_ITERATIONS,
-    extra_passes: "tuple[Callable[[Work], int], ...]" = (),
     extra_csr_passes: "tuple[Callable[[CsrWork], int], ...]" = (),
 ) -> PresolveResult:
-    """Columnar twin of :func:`presolve_model`: same pass catalog, same
-    fixpoint driver, same trace contract, vectorized working state.
+    """Reduce ``csr`` to a fixpoint of the pass catalog.
 
-    ``extra_csr_passes`` run natively after the catalog each iteration;
-    ``extra_passes`` (arbitrary *object* passes) still run after those
-    via the :func:`~repro.analysis.csr_reductions.to_object_work`
-    bridge, so callers with custom passes fall back automatically
-    rather than silently losing them.  The input model is never
-    mutated.
+    ``seed_fixes`` (variable index -> value) are applied before the
+    first iteration; routing callers seed reachability-proven zeros.
+    ``extra_csr_passes`` run after the catalog in each iteration
+    (routing callers add the structural U-turn row pass).  The input
+    model is never mutated.
     """
     t0 = time.perf_counter()
     n_vars_before = csr.n_vars
@@ -313,7 +194,7 @@ def presolve_csr(
     # deterministic functions of the semantic state, and every mutation
     # bumps ``work.generation``.  Skipping them makes the final
     # fixpoint-confirming iteration nearly free without changing a
-    # single firing (the object driver's counts/trace stay identical).
+    # single firing (counts and trace are those of running every pass).
     quiet: dict[object, int] = {}
 
     def run(key: object, fn, *args) -> int:
@@ -335,10 +216,6 @@ def presolve_csr(
                 continue
             work.compact()
             changed += run(idx, reduction, work)
-        for k, object_pass in enumerate(extra_passes):
-            if work.infeasible:
-                break
-            changed += run(("obj", k), _run_bridged, work, object_pass)
         if not work.infeasible:
             if quiet.get("tail") != work.generation:
                 work.compact()
@@ -371,20 +248,6 @@ def presolve_csr(
         original_csr=csr,
         reduced_csr=reduced_csr,
     )
-
-
-def _run_bridged(work: CsrWork, object_pass) -> int:
-    """Run one arbitrary object pass against CSR state via the bridge.
-
-    The reload is skipped when the pass fired nothing: a clean pass
-    made no mutations (the same invariant the fixpoint loop rests on),
-    so folding the untouched bridge back would be a no-op re-layout.
-    """
-    bridged = to_object_work(work)
-    delta = object_pass(bridged)
-    if delta or bridged.infeasible_reason != work.infeasible_reason:
-        load_object_work(work, bridged)
-    return delta
 
 
 def reachability_fixes(ilp: RoutingIlp) -> tuple[dict[int, float], int]:
@@ -485,9 +348,8 @@ def aggregate_via_adjacency(ilp: RoutingIlp) -> tuple[CsrModel, int, int]:
 
     Returns ``(csr, n_rows_rewritten, n_aux_vars)``; the input columnar
     model is returned unchanged when nothing fires, a rewritten copy
-    otherwise (same row order the object-model rewrite produced:
-    originals with pair rows rewritten in place and exclusivity rows
-    dropped, then the defining rows).
+    otherwise (originals with pair rows rewritten in place and
+    exclusivity rows dropped, then the defining rows).
     """
     offsets = ilp.rules.via_restriction.blocked_offsets()
     csr = ilp.csr
@@ -686,7 +548,6 @@ def presolve_routing_ilp(
         # U variables exist only inside the reduced model.
         n_original_vars = ilp.csr.n_vars
         pre.original_csr = ilp.csr
-        pre.original = None
         # Surviving auxiliaries (indices >= n_original_vars in the
         # untrimmed col_map), their defining rows ``usage - U <= 0``
         # (the only rows where an auxiliary carries a negative
@@ -749,62 +610,50 @@ def solve_reduced(
     then ERROR, then LIMIT; values/objective are merged only when
     every component produced an incumbent.
     """
-    if pre.status is SolveStatus.INFEASIBLE:
+    if pre.status is SolveStatus.INFEASIBLE or _violates_constant_row(
+        pre.reduced_csr
+    ):
+        # A constant-only row never reaches a solver intact: components
+        # keep only rows with entries, and a backend's zero-variable
+        # fast path reads no rows.
         return Solution(status=SolveStatus.INFEASIBLE)
-    if pre.reduced_csr is not None:
-        # Columnar path: the reduced CSR model is decomposed and handed
-        # to the backend directly -- no object model is materialized.
-        reduced_csr = pre.reduced_csr
-        if not decompose:
-            pre.trace.n_components = 1 if reduced_csr.n_vars else 0
-            return pre.trace.lift(solver_fn(reduced_csr, time_limit))
-        csr_components = decompose_csr(reduced_csr)
-        pre.trace.n_components = len(csr_components)
-        if not csr_components:
-            # Presolve fixed every variable: the model is solved.
-            return pre.trace.lift(
-                Solution(
-                    status=SolveStatus.OPTIMAL,
-                    objective=reduced_csr.obj_const,
-                    best_bound=reduced_csr.obj_const,
-                )
-            )
-        solutions = _solve_components(
-            [c.model for c in csr_components], solver_fn, time_limit
-        )
-        merged = _merge_component_solutions(
-            float(reduced_csr.obj_const), csr_components, solutions
-        )
-        return pre.trace.lift(merged)
-
-    reduced = pre.reduced
+    reduced_csr = pre.reduced_csr
     if not decompose:
-        pre.trace.n_components = 1 if reduced.n_vars else 0
-        return pre.trace.lift(solver_fn(reduced, time_limit))
-
-    components = decompose_model(reduced)
+        pre.trace.n_components = 1 if reduced_csr.n_vars else 0
+        return pre.trace.lift(solver_fn(reduced_csr, time_limit))
+    components = decompose_csr(reduced_csr)
     pre.trace.n_components = len(components)
     if not components:
         # Presolve fixed every variable: the model is solved.
         return pre.trace.lift(
             Solution(
                 status=SolveStatus.OPTIMAL,
-                objective=reduced.objective.const,
-                best_bound=reduced.objective.const,
+                objective=reduced_csr.obj_const,
+                best_bound=reduced_csr.obj_const,
             )
         )
-
     solutions = _solve_components(
         [c.model for c in components], solver_fn, time_limit
     )
     merged = _merge_component_solutions(
-        reduced.objective.const, components, solutions
+        float(reduced_csr.obj_const), components, solutions
     )
     return pre.trace.lift(merged)
 
 
+def _violates_constant_row(csr: CsrModel) -> bool:
+    """True when a row with no entries reads ``const (sense) 0`` false."""
+    empty = np.diff(csr.indptr) == 0
+    const, senses = csr.row_const[empty], csr.senses[empty]
+    return bool(
+        np.any((senses == SENSE_LE) & (const > _TOL))
+        | np.any((senses == SENSE_GE) & (const < -_TOL))
+        | np.any((senses == SENSE_EQ) & (np.abs(const) > _TOL))
+    )
+
+
 def _solve_components(
-    models: "list[Model] | list[CsrModel]",
+    models: list[CsrModel],
     solver_fn: SolverFn,
     time_limit: float | None,
 ) -> list[Solution]:
@@ -832,7 +681,7 @@ _STATUS_PRIORITY = (
 
 def _merge_component_solutions(
     obj_const: float,
-    components: "list[Component] | list[CsrComponent]",
+    components: list[CsrComponent],
     solutions: list[Solution],
 ) -> Solution:
     status = SolveStatus.OPTIMAL

@@ -9,6 +9,12 @@ from repro.analysis.concurrency import (
     lint_concurrency,
     lint_source,
 )
+from repro.analysis.concurrency.code_lint import (
+    _find_pyproject,
+    _parse_allow_entry,
+    load_config,
+    package_root,
+)
 
 JOURNAL_PATH = "repro/exec/checkpoint.py"
 PURE_PATH = "repro/exec/leases.py"
@@ -353,6 +359,24 @@ def test_committed_tree_is_lint_clean():
     for finding in report.findings:
         assert finding.allowlisted
         assert finding.justification, str(finding)
+
+
+def test_every_allowlist_entry_matches_a_finding():
+    """The lint never reports unused allowlist entries, so a stale one
+    (its symbol renamed, fixed or deleted) would silently pre-approve
+    a future finding at that spot; each entry must still earn its
+    place on the committed tree."""
+    root = package_root()
+    config = load_config(_find_pyproject(root))
+    findings = lint_concurrency(root, config).findings
+    for entry in config.allow:
+        rule, path, qualname, _ = _parse_allow_entry(entry)
+        assert any(
+            f.rule == rule
+            and f.path == path
+            and qualname in ("*", f.symbol)
+            for f in findings
+        ), f"stale allowlist entry: {entry}"
 
 
 def test_report_is_byte_deterministic():

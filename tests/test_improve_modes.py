@@ -4,8 +4,12 @@ import copy
 
 import pytest
 
+from repro.clips.extract import ClipWindowSpec
 from repro.improve import improve_routing
 from repro.router import OptRouter
+
+#: Small windows keep each clip solve well under a second.
+SPEC = ClipWindowSpec(cols=4, rows=5)
 
 
 class TestRankModes:
@@ -14,7 +18,7 @@ class TestRankModes:
         routed = copy.deepcopy(routed)
         report = improve_routing(
             design, grid, routed,
-            router=OptRouter(time_limit=20.0),
+            spec=SPEC, router=OptRouter(time_limit=20.0),
             max_clips=3, rank="pincost",
         )
         assert len(report.clips) == 3
@@ -27,7 +31,7 @@ class TestRankModes:
         routed = copy.deepcopy(routed)
         report = improve_routing(
             design, grid, routed,
-            router=OptRouter(time_limit=20.0),
+            spec=SPEC, router=OptRouter(time_limit=20.0),
             max_clips=3, rank="wiring",
         )
         old_costs = [clip.old_cost for clip in report.clips]
